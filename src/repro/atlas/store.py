@@ -305,7 +305,14 @@ class DesignAtlas:
                 self._read_ino = stat.st_ino
                 self.n_record_lines = 0
             self._consume(handle)
-            handle.seek(0, os.SEEK_END)
+            if handle.seek(0, os.SEEK_END) > self._read_offset:
+                # All that _consume leaves is a line without its newline,
+                # and under the exclusive lock no writer is mid-append:
+                # a crashed writer's torn tail.  End it (it is then
+                # skipped as corrupt) so these lines are not glued onto it.
+                handle.write(b"\n")
+                handle.flush()
+                self._consume(handle)
             payload = b"".join(
                 json.dumps(entry, separators=(",", ":")).encode("utf-8")
                 + b"\n"

@@ -43,6 +43,7 @@ import sys
 from typing import Iterator, List, Optional
 
 from repro.core import BERThresholdCurve, SearchConfig
+from repro.core.metacore import DRIVERS, MetaCore, definition_for
 from repro.core.parallel import shutdown_all_pools
 from repro.errors import ConfigurationError
 from repro.observability import (
@@ -81,6 +82,7 @@ from repro.viterbi import (
     distance_spectrum,
     normalize_viterbi_point,
 )
+from repro.viterbi.ber import DEFAULT_SEED
 
 
 def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
@@ -294,6 +296,23 @@ def _run_search(metacore, args: argparse.Namespace):
     return metacore.search(), None
 
 
+def _viterbi_spec(
+    args: argparse.Namespace,
+    ber: float,
+    throughput: float,
+    power: Optional[PowerConfig],
+    seed: int = DEFAULT_SEED,
+) -> ViterbiSpec:
+    """A Viterbi spec under the command's --es-n0-db/--feature-um flags."""
+    return ViterbiSpec(
+        throughput_bps=throughput,
+        ber_curve=BERThresholdCurve.single(args.es_n0_db, ber),
+        feature_um=args.feature_um,
+        seed=seed,
+        power=power,
+    )
+
+
 def _add_viterbi_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=5, help="constraint length K")
     parser.add_argument(
@@ -352,18 +371,13 @@ def cmd_viterbi_search(args: argparse.Namespace) -> int:
     except ConfigurationError as error:
         print(f"invalid request: {error}", file=sys.stderr)
         return 2
-    spec = ViterbiSpec(
-        throughput_bps=args.throughput,
-        ber_curve=BERThresholdCurve.single(args.es_n0_db, args.ber),
-        feature_um=args.feature_um,
-        power=power,
-    )
+    spec = _viterbi_spec(args, args.ber, args.throughput, power)
     config = SearchConfig(
         max_resolution=args.max_resolution, refine_top_k=args.top_k, strategy=args.strategy
     )
     metacore = ViterbiMetaCore(
         spec,
-        fixed={"G": "standard", "N": 1},
+        fixed=definition_for("viterbi").default_fixed,
         config=config,
         workers=args.workers,
         cache_path=args.cache,
@@ -513,7 +527,7 @@ def cmd_table3(args: argparse.Namespace) -> int:
             ber_curve=BERThresholdCurve.single(args.es_n0_db, max_ber),
         )
         metacore = ViterbiMetaCore(
-            spec, fixed={"G": "standard", "N": 1},
+            spec, fixed=definition_for("viterbi").default_fixed,
             config=SearchConfig(
                 max_resolution=args.max_resolution, refine_top_k=args.top_k, strategy=args.strategy
             ),
@@ -577,36 +591,32 @@ def cmd_table4(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recommend_metacore(args: argparse.Namespace):
-    """The facade a `recommend`/`sweep` invocation addresses."""
-    config = SearchConfig(
-        max_resolution=args.max_resolution, refine_top_k=args.top_k, strategy=args.strategy
-    )
+def _spec_from_args(
+    args: argparse.Namespace, what: str, seed: int = DEFAULT_SEED
+):
+    """The spec a ``--metacore`` command's flags describe."""
     power = _power_config(args)
     if args.metacore == "viterbi":
         if args.ber is None or args.throughput is None:
             raise ConfigurationError(
-                "viterbi recommendations need --ber and --throughput"
+                f"viterbi {what} need --ber and --throughput"
             )
-        spec = ViterbiSpec(
-            throughput_bps=args.throughput,
-            ber_curve=BERThresholdCurve.single(args.es_n0_db, args.ber),
-            feature_um=args.feature_um,
-            power=power,
-        )
-        return ViterbiMetaCore(
-            spec,
-            fixed={"G": "standard", "N": 1},
-            config=config,
-            workers=args.workers,
-            cache_path=args.cache,
-            atlas_path=args.atlas,
-        )
+        return _viterbi_spec(args, args.ber, args.throughput, power, seed=seed)
     if args.period_us is None:
-        raise ConfigurationError("iir recommendations need --period-us")
-    return IIRMetaCore(
-        IIRSpec.paper(args.period_us, power=power),
-        config=config,
+        raise ConfigurationError(f"iir {what} need --period-us")
+    return IIRSpec.paper(args.period_us, power=power)
+
+
+def _atlas_metacore(args: argparse.Namespace, spec) -> MetaCore:
+    """The facade a `recommend`/`sweep` invocation runs ``spec`` through."""
+    return MetaCore(
+        spec,
+        fixed=definition_for(args.metacore).default_fixed,
+        config=SearchConfig(
+            max_resolution=args.max_resolution,
+            refine_top_k=args.top_k,
+            strategy=args.strategy,
+        ),
         workers=args.workers,
         cache_path=args.cache,
         atlas_path=args.atlas,
@@ -617,7 +627,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     """Answer a constraint query from the design atlas."""
     try:
         constraints = _parse_constraints(args.constraint)
-        metacore = _recommend_metacore(args)
+        metacore = _atlas_metacore(
+            args, _spec_from_args(args, "recommendations")
+        )
     except ConfigurationError as error:
         print(f"invalid request: {error}", file=sys.stderr)
         return 2
@@ -631,9 +643,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Populate the atlas from a portfolio of specifications."""
-    config = SearchConfig(
-        max_resolution=args.max_resolution, refine_top_k=args.top_k, strategy=args.strategy
-    )
     try:
         power = _power_config(args)
         if args.metacore == "viterbi":
@@ -650,23 +659,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     )
                 pairs.append((float(ber_s), float(thr_s)))
             specs = [
-                ViterbiSpec(
-                    throughput_bps=throughput,
-                    ber_curve=BERThresholdCurve.single(args.es_n0_db, ber),
-                    feature_um=args.feature_um,
-                    power=power,
-                )
+                _viterbi_spec(args, ber, throughput, power)
                 for ber, throughput in pairs
             ]
             labels = [f"{b:g}@{t / 1e6:g}Mbps" for b, t in pairs]
-            prototype = ViterbiMetaCore(
-                specs[0],
-                fixed={"G": "standard", "N": 1},
-                config=config,
-                workers=args.workers,
-                cache_path=args.cache,
-                atlas_path=args.atlas,
-            )
         else:
             if not args.periods:
                 raise ConfigurationError("iir sweeps need --periods ...")
@@ -675,13 +671,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 for period in args.periods
             ]
             labels = [f"{period:g} us" for period in args.periods]
-            prototype = IIRMetaCore(
-                specs[0],
-                config=config,
-                workers=args.workers,
-                cache_path=args.cache,
-                atlas_path=args.atlas,
-            )
+        prototype = _atlas_metacore(args, specs[0])
     except (ConfigurationError, ValueError) as error:
         print(f"invalid sweep: {error}", file=sys.stderr)
         return 2
@@ -783,27 +773,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _client_spec_payload(args: argparse.Namespace) -> dict:
     """Build the wire spec payload a client subcommand describes."""
-    from repro.iir import IIRSpec
     from repro.serve import spec_to_payload
 
-    power = _power_config(args)
-    if args.metacore == "viterbi":
-        if args.ber is None or args.throughput is None:
-            raise ConfigurationError(
-                "viterbi requests need --ber and --throughput"
-            )
-        spec = ViterbiSpec(
-            throughput_bps=args.throughput,
-            ber_curve=BERThresholdCurve.single(args.es_n0_db, args.ber),
-            feature_um=args.feature_um,
-            seed=args.seed,
-            power=power,
-        )
-    else:
-        if args.period_us is None:
-            raise ConfigurationError("iir requests need --period-us")
-        spec = IIRSpec.paper(args.period_us, power=power)
-    return spec_to_payload(spec)
+    return spec_to_payload(_spec_from_args(args, "requests", seed=args.seed))
 
 
 def _client_point(args: argparse.Namespace) -> dict:
@@ -1164,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_facade_spec_args(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
-            "--metacore", choices=("viterbi", "iir"), required=True
+            "--metacore", choices=tuple(DRIVERS), required=True
         )
         sub_parser.add_argument(
             "--ber", type=float, default=None, help="max BER (viterbi)"
@@ -1211,7 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search a portfolio of specifications into one atlas",
     )
     sweep.add_argument(
-        "--metacore", choices=("viterbi", "iir"), required=True
+        "--metacore", choices=tuple(DRIVERS), required=True
     )
     sweep.add_argument(
         "--specs", nargs="+", metavar="BER:THROUGHPUT", default=None,
@@ -1373,7 +1345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_spec_args(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
-            "--metacore", choices=("viterbi", "iir"), required=True
+            "--metacore", choices=tuple(DRIVERS), required=True
         )
         sub_parser.add_argument(
             "--ber", type=float, default=None, help="max BER (viterbi)"

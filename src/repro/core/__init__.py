@@ -5,7 +5,8 @@ freedom (:mod:`~repro.core.parameters`), objective functions and
 constraints (:mod:`~repro.core.objectives`), the cost-evaluation engine
 (:mod:`~repro.core.evaluation`), and the multiresolution design-space
 search (:mod:`~repro.core.search`) with its supporting grid machinery,
-interpolation, and Bayesian BER prediction.
+interpolation, and Bayesian BER prediction.  :mod:`~repro.core.metacore`
+binds a driver's definition of the first three to the shared search.
 """
 
 from repro.core.parameters import (
@@ -45,6 +46,13 @@ from repro.core.bayes import (
     observation_from_counts,
 )
 from repro.core.search import MetacoreSearch, SearchConfig, SearchResult
+from repro.core.metacore import (
+    DRIVERS,
+    MetaCore,
+    MetaCoreDefinition,
+    definition_for,
+    definition_for_spec,
+)
 from repro.core.strategies import (
     STRATEGIES,
     EvolutionaryStrategy,
@@ -105,6 +113,11 @@ __all__ = [
     "MetacoreSearch",
     "SearchConfig",
     "SearchResult",
+    "DRIVERS",
+    "MetaCore",
+    "MetaCoreDefinition",
+    "definition_for",
+    "definition_for_spec",
     "STRATEGIES",
     "EvolutionaryStrategy",
     "SurrogateModel",

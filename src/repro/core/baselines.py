@@ -10,7 +10,6 @@ benchmarks can compare evaluation counts and result quality directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -24,13 +23,13 @@ from repro.core.evaluation import (
 )
 from repro.core.objectives import DesignGoal
 from repro.core.parameters import (
-    ContinuousParameter,
     DesignSpace,
     DiscreteParameter,
     Point,
     frozen_point,
 )
 from repro.core.search import PointNormalizer, SearchResult
+from repro.core.strategies import _random_point
 from repro.errors import DesignSpaceError
 from repro.utils.rng import make_rng
 
@@ -160,20 +159,6 @@ class SimulatedAnnealing(_BaselineBase):
                 current, current_score = candidate, score
             temperature *= cooling
         return self._result()
-
-
-def _random_point(space: DesignSpace, rng: np.random.Generator) -> Point:
-    point: Point = {}
-    for parameter in space.parameters:
-        if isinstance(parameter, DiscreteParameter):
-            point[parameter.name] = parameter.values[
-                int(rng.integers(parameter.size))
-            ]
-        elif isinstance(parameter, ContinuousParameter):
-            point[parameter.name] = float(
-                rng.uniform(parameter.lower, parameter.upper)
-            )
-    return point
 
 
 def _neighbor_point(

@@ -22,6 +22,7 @@ share a single cache file across their specs).
 from __future__ import annotations
 
 import json
+import os
 import threading
 import warnings
 from pathlib import Path
@@ -50,6 +51,18 @@ def evaluator_fingerprint(evaluator: object) -> str:
         f"{cls.__module__}.{cls.__qualname__}"
         f":max_fidelity={getattr(evaluator, 'max_fidelity', 0)}"
     )
+
+
+def _ends_without_newline(path: Path) -> bool:
+    """True for a non-empty file whose last byte is not a newline."""
+    try:
+        with path.open("rb") as handle:
+            if handle.seek(0, os.SEEK_END) == 0:
+                return False
+            handle.seek(-1, os.SEEK_END)
+            return handle.read(1) != b"\n"
+    except FileNotFoundError:
+        return False
 
 
 class PersistentEvalCache:
@@ -165,7 +178,13 @@ class PersistentEvalCache:
             }
             if self._file is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
+                torn = _ends_without_newline(self.path)
                 self._file = self.path.open("a", encoding="utf-8")
+                if torn:
+                    # A crashed writer's torn tail: end it, so this
+                    # record starts on its own line instead of being
+                    # glued onto (and lost with) the fragment.
+                    self._file.write("\n")
             self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
             self._file.flush()
             return True

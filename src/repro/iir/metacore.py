@@ -9,18 +9,19 @@ The cost-evaluation engine designs the filter, realizes it in the
 chosen structure, quantizes the coefficients, measures the quantized
 response against the full specification (SPW's role in the paper), and
 prices the implementation with the HYPER-style synthesis estimator.
+:func:`metacore_definition` hands the driver to the generic facade
+(:mod:`repro.core.metacore`), which runs the shared search.
 """
 
 from __future__ import annotations
 
 import math
 import dataclasses
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
-from repro.core.evalcache import PersistentEvalCache
+from repro.core.metacore import MetaCore, MetaCoreDefinition
 from repro.core.objectives import Constraint, DesignGoal, Objective
-from repro.core.parallel import ParallelEvaluator
 from repro.core.parameters import (
     ContinuousParameter,
     Correlation,
@@ -28,7 +29,6 @@ from repro.core.parameters import (
     DiscreteParameter,
     Point,
 )
-from repro.core.search import MetacoreSearch, SearchConfig, SearchResult
 from repro.errors import ConfigurationError, FilterDesignError, SynthesisError
 from repro.hardware.synthesis import SynthesisEstimate, estimate_iir_implementation
 from repro.iir.design import (
@@ -56,6 +56,9 @@ FAMILIES: Tuple[str, ...] = (
     "chebyshev2",
     "butterworth",
 )
+
+#: Wire ``type`` of each filter specification class.
+FILTER_TYPES = {"lowpass": LowpassSpec, "bandpass": BandpassSpec}
 
 
 def iir_design_space(fixed: Optional[Dict[str, object]] = None) -> DesignSpace:
@@ -168,6 +171,70 @@ class IIRSpec:
                 )
         return DesignGoal(objectives=objectives, constraints=constraints)
 
+    def to_payload(self) -> Dict[str, Any]:
+        """This specification as a wire-safe plain dict."""
+        for filter_type, filter_class in FILTER_TYPES.items():
+            if isinstance(self.filter_spec, filter_class):
+                break
+        else:
+            raise ConfigurationError(
+                f"unsupported filter spec {type(self.filter_spec).__name__}"
+            )
+        payload: Dict[str, Any] = {
+            "kind": "iir",
+            "sample_period_us": self.sample_period_us,
+            "feature_um": self.feature_um,
+            "filter": {
+                "type": filter_type,
+                **dataclasses.asdict(self.filter_spec),
+            },
+        }
+        if self.power is not None:
+            payload["power"] = self.power.to_payload()
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "IIRSpec":
+        """The specification a :meth:`to_payload` dict describes."""
+        filter_payload = payload.get("filter")
+        if not isinstance(filter_payload, dict):
+            raise ConfigurationError("iir spec needs a filter object")
+        filter_type = filter_payload.get("type")
+        filter_class = (
+            FILTER_TYPES.get(filter_type)
+            if isinstance(filter_type, str)
+            else None
+        )
+        if filter_class is None:
+            raise ConfigurationError(
+                f"unknown filter spec type {filter_type!r}"
+            )
+        filter_spec = filter_class(
+            *(
+                float(filter_payload[edge.name])
+                for edge in dataclasses.fields(filter_class)
+            )
+        )
+        return cls(
+            filter_spec=filter_spec,
+            sample_period_us=float(payload["sample_period_us"]),
+            feature_um=float(payload.get("feature_um", 1.2)),
+            power=PowerConfig.from_payload(payload.get("power")),
+        )
+
+    def features(self) -> Dict[str, float]:
+        """Normalized numeric features: log period, edges, log ripples."""
+        features = {
+            "log10_period_us": math.log10(self.sample_period_us),
+            "feature_um": float(self.feature_um),
+        }
+        for name, value in dataclasses.asdict(self.filter_spec).items():
+            if name.endswith("_ripple"):
+                features[f"log10_{name}"] = math.log10(value)
+            else:
+                features[name] = value
+        return features
+
 
 def _margin_spec(spec: FilterSpec, allocation: float) -> FilterSpec:
     """The tighter spec the nominal design targets.
@@ -177,23 +244,15 @@ def _margin_spec(spec: FilterSpec, allocation: float) -> FilterSpec:
     """
     if not 0.05 <= allocation <= 1.0:
         raise ConfigurationError("ripple allocation out of (0.05, 1]")
-    if isinstance(spec, LowpassSpec):
-        return LowpassSpec(
-            spec.passband_edge,
-            spec.stopband_edge,
-            allocation * spec.passband_ripple,
-            allocation * spec.stopband_ripple,
+    if not isinstance(spec, tuple(FILTER_TYPES.values())):
+        raise ConfigurationError(
+            f"unsupported spec type {type(spec).__name__}"
         )
-    if isinstance(spec, BandpassSpec):
-        return BandpassSpec(
-            spec.passband_low,
-            spec.passband_high,
-            spec.stopband_low,
-            spec.stopband_high,
-            allocation * spec.passband_ripple,
-            allocation * spec.stopband_ripple,
-        )
-    raise ConfigurationError(f"unsupported spec type {type(spec).__name__}")
+    return dataclasses.replace(
+        spec,
+        passband_ripple=allocation * spec.passband_ripple,
+        stopband_ripple=allocation * spec.stopband_ripple,
+    )
 
 
 class IIRMetacoreEvaluator:
@@ -311,260 +370,35 @@ class IIRMetacoreEvaluator:
 
 
 @dataclass
-class IIRMetaCore:
+class IIRMetaCore(MetaCore):
     """Facade: specification in, optimized realization out."""
 
-    spec: IIRSpec
-    fixed: Dict[str, object] = field(default_factory=dict)
-    config: Optional[SearchConfig] = None
-    #: Worker processes for grid evaluation (1 = serial in-process).
-    workers: int = 1
-    #: Path of the persistent cross-run evaluation cache (None = cold).
-    cache_path: Optional[str] = None
-    #: Crash-tolerant session checkpoint (see :mod:`repro.resilience`).
-    checkpoint_path: Optional[str] = None
-    #: Resume from an existing checkpoint instead of starting cold.
-    resume: bool = False
-    #: Abort (checkpoint intact) after this many computed rounds.
-    max_rounds: Optional[int] = None
-    #: Wrap the evaluator in the retry/quarantine shim.
-    resilient: bool = False
-    #: Path of the persistent design atlas (None = no library): searches
-    #: warm-start from it and ingest their logs back into it.
-    atlas_path: Optional[str] = None
-    #: Search strategy override ("grid", "evolve" or "surrogate");
-    #: None defers to :attr:`config` (whose own default is "grid").
-    strategy: Optional[str] = None
+    kind = "iir"
 
-    def design_space(self) -> DesignSpace:
-        """Structure x family x word length x ripple allocation."""
-        return iir_design_space(self.fixed)
 
-    def _effective_config(self) -> Optional[SearchConfig]:
-        """:attr:`config` with the :attr:`strategy` override applied."""
-        if self.strategy is None:
-            return self.config
-        return replace(self.config or SearchConfig(), strategy=self.strategy)
+def _build_realization(engine: IIRMetacoreEvaluator, point: Point) -> Realization:
+    """The quantized realization a design point describes."""
+    realization = engine._realization(
+        str(point["structure"]),
+        str(point["family"]),
+        float(point["ripple_allocation"]),
+    )
+    return realization.quantized(int(point["word_length"]))
 
-    def _open_atlas(self, engine: "IIRMetacoreEvaluator"):
-        """(atlas, seeder) for this scenario, or (None, None)."""
-        if not self.atlas_path:
-            return None, None
-        # Imported lazily: repro.atlas dispatches on the spec types.
-        from repro.atlas import DesignAtlas, seeder_for
 
-        atlas = DesignAtlas(self.atlas_path)
-        seeder = seeder_for(atlas, engine, "iir", self.spec, self.spec.goal())
-        return atlas, seeder
+def metacore_definition() -> MetaCoreDefinition:
+    """The IIR driver's MetaCore definition.
 
-    def search(self) -> SearchResult:
-        """Run the multiresolution search for this specification."""
-        if self.checkpoint_path:
-            return self.search_session().result
-        engine = IIRMetacoreEvaluator(self.spec)
-        atlas, seeder = self._open_atlas(engine)
-        try:
-            return self._run_search(engine, atlas, seeder)
-        finally:
-            if atlas is not None:
-                atlas.close()
-
-    def _run_search(self, engine, atlas, seeder) -> SearchResult:
-        """One search against an already-open atlas handle (or None)."""
-        evaluator: object = engine
-        parallel: Optional[ParallelEvaluator] = None
-        store: Optional[PersistentEvalCache] = None
-        try:
-            if self.workers and self.workers > 1:
-                parallel = ParallelEvaluator(evaluator, workers=self.workers)
-                evaluator = parallel
-            if self.cache_path:
-                store = PersistentEvalCache(self.cache_path)
-            searcher = MetacoreSearch(
-                self.design_space(),
-                self.spec.goal(),
-                evaluator,
-                config=self._effective_config(),
-                store=store,
-                atlas=seeder,
-            )
-            result = searcher.run()
-            if atlas is not None:
-                from repro.atlas import ingest_result
-
-                ingest_result(
-                    atlas, seeder, result.log.records, engine.max_fidelity
-                )
-            return result
-        finally:
-            if parallel is not None:
-                parallel.close()
-            if store is not None:
-                store.close()
-
-    def search_session(self):
-        """Run the search as a checkpointed, resumable session.
-
-        Returns a :class:`~repro.resilience.session.SessionResult`;
-        requires :attr:`checkpoint_path`.
-        """
-        # Imported lazily: repro.resilience depends on this package.
-        from repro.resilience.session import SearchSession
-
-        if not self.checkpoint_path:
-            raise ConfigurationError("search_session requires checkpoint_path")
-        engine = IIRMetacoreEvaluator(self.spec)
-        evaluator: object = engine
-        parallel: Optional[ParallelEvaluator] = None
-        store: Optional[PersistentEvalCache] = None
-        atlas, seeder = self._open_atlas(engine)
-        try:
-            if self.workers and self.workers > 1:
-                parallel = ParallelEvaluator(evaluator, workers=self.workers)
-                evaluator = parallel
-            if self.cache_path:
-                store = PersistentEvalCache(self.cache_path)
-            session = SearchSession(
-                self.design_space(),
-                self.spec.goal(),
-                evaluator,
-                self.checkpoint_path,
-                config=self._effective_config(),
-                store=store,
-                resume=self.resume,
-                max_rounds=self.max_rounds,
-                resilient=self.resilient,
-                atlas=seeder,
-            )
-            session_result = session.run()
-            if atlas is not None:
-                from repro.atlas import ingest_result
-
-                ingest_result(
-                    atlas,
-                    seeder,
-                    session_result.result.log.records,
-                    engine.max_fidelity,
-                )
-            return session_result
-        finally:
-            if parallel is not None:
-                parallel.close()
-            if store is not None:
-                store.close()
-            if atlas is not None:
-                atlas.close()
-
-    def serve(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        unix_path: Optional[str] = None,
-        config: Optional[object] = None,
-        replicas: int = 1,
-    ):
-        """Serve this MetaCore's evaluation engine to concurrent clients.
-
-        Starts the asyncio evaluation service (socket server on a
-        background thread) with this facade's ``workers`` /
-        ``cache_path`` / ``resilient`` settings and a pre-warmed
-        session for this specification; returns a started
-        :class:`~repro.serve.server.ServeHandle` (context manager).
-        Results are bit-identical to one-shot evaluation — see
-        ``docs/serving.md``.
-
-        With ``replicas > 1`` this becomes cluster mode: N replica
-        services plus a fingerprint-sharded router front door, returned
-        as a started :class:`~repro.cluster.handle.ClusterHandle` with
-        the same ``client()``/``stop()`` surface.  Replicas share the
-        design atlas; results stay bit-identical — see
-        ``docs/cluster.md``.
-        """
-        # Imported lazily: repro.serve depends on this module.
-        from repro.serve import ServeHandle, ServiceConfig, spec_to_payload
-
-        if config is None:
-            config = ServiceConfig(
-                workers=self.workers,
-                cache_path=self.cache_path,
-                resilient=self.resilient,
-                atlas_path=self.atlas_path,
-            )
-        if replicas > 1:
-            from repro.cluster import ClusterHandle
-
-            cluster = ClusterHandle(
-                config, replicas=replicas, host=host, port=port
-            )
-            cluster.start()
-            cluster.register_spec(self.spec)
-            return cluster
-        handle = ServeHandle(
-            config, host=host, port=port, unix_path=unix_path
-        )
-        handle.start()
-        handle.service.session_for_spec(spec_to_payload(self.spec))
-        return handle
-
-    def recommend(self, constraints: Optional[Dict[str, float]] = None):
-        """Answer a constraint query from the design atlas.
-
-        ``constraints`` are extra per-query upper bounds on metrics
-        (e.g. ``{"area_mm2": 8.0}``) tightening the specification's
-        goal.  A stored frontier design covering the query is returned
-        with **zero evaluations**; a library miss falls back to a
-        (warm-started) :meth:`search`, whose log is ingested so the
-        next nearby query hits.  Requires :attr:`atlas_path`; returns a
-        :class:`~repro.atlas.recommend.Recommendation`.
-        """
-        if not self.atlas_path:
-            raise ConfigurationError("recommend requires atlas_path")
-        # Imported lazily: repro.atlas dispatches on the spec types.
-        from repro.atlas import DesignAtlas, recommend, seeder_for
-
-        engine = IIRMetacoreEvaluator(self.spec)
-        with DesignAtlas(self.atlas_path) as atlas:
-            seeder = seeder_for(atlas, engine, "iir", self.spec, self.spec.goal())
-            recommendation = recommend(
-                atlas,
-                seeder.fingerprint,
-                self.spec.goal(),
-                constraints=constraints,
-                fallback=self._recommend_fallback(atlas, seeder),
-            )
-        return recommendation
-
-    def _recommend_fallback(self, atlas, seeder):
-        """A warm-started search over the already-open atlas handle."""
-
-        def fallback() -> SearchResult:
-            engine = IIRMetacoreEvaluator(self.spec)
-            return self._run_search(engine, atlas, seeder)
-
-        return fallback
-
-    def sweep(
-        self,
-        specs: Sequence[IIRSpec],
-        labels: Optional[Sequence[str]] = None,
-    ):
-        """Search a portfolio of specifications into one atlas.
-
-        Each spec runs through a copy of this facade (same fixed
-        parameters, config, workers, cache, atlas); returns a
-        :class:`~repro.atlas.sweep.SweepOutcome`.
-        """
-        from repro.atlas import run_sweep
-
-        metacores = [dataclasses.replace(self, spec=spec) for spec in specs]
-        return run_sweep(metacores, labels=labels)
-
-    def build(self, point: Point) -> Realization:
-        """The quantized realization a design point describes."""
-        evaluator = IIRMetacoreEvaluator(self.spec)
-        realization = evaluator._realization(
-            str(point["structure"]),
-            str(point["family"]),
-            float(point["ripple_allocation"]),
-        )
-        return realization.quantized(int(point["word_length"]))
+    Built on every lookup, so each field resolves this module's names at
+    call time (``e2ebench/layers.py`` swaps some of them while tracing).
+    """
+    return MetaCoreDefinition(
+        kind="iir",
+        spec_type=IIRSpec,
+        design_space=iir_design_space,
+        evaluator=IIRMetacoreEvaluator,
+        spec_to_payload=IIRSpec.to_payload,
+        spec_from_payload=IIRSpec.from_payload,
+        spec_features=IIRSpec.features,
+        build=_build_realization,
+    )

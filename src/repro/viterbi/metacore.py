@@ -8,32 +8,31 @@ Bundles the four MetaCore components for the Viterbi driver:
 - the cost-evaluation engine: union-bound BER estimation at the lowest
   fidelity, Monte-Carlo simulation with growing bit budgets above it,
   and the Trimaran-stand-in machine model for area/throughput;
-- glue to run the multiresolution search and to build the concrete
-  decoder for any design point.
+- the concrete decoder for any design point.
+
+:func:`metacore_definition` hands these to the generic facade
+(:mod:`repro.core.metacore`), which runs the shared search.
 """
 
 from __future__ import annotations
 
 import math
-import dataclasses
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
-from repro.core.evalcache import PersistentEvalCache
+from repro.core.metacore import MetaCore, MetaCoreDefinition
 from repro.core.objectives import (
     BERThresholdCurve,
     Constraint,
     DesignGoal,
     Objective,
 )
-from repro.core.parallel import ParallelEvaluator
 from repro.core.parameters import (
     Correlation,
     DesignSpace,
     DiscreteParameter,
     Point,
 )
-from repro.core.search import MetacoreSearch, SearchConfig, SearchResult
 from repro.errors import ConfigurationError, SynthesisError
 from repro.hardware.trace import ViterbiInstanceParams, viterbi_program
 from repro.hardware.vliw import ImplementationEstimate, optimize_machine
@@ -292,6 +291,49 @@ class ViterbiSpec:
             ber_curve=self.ber_curve,
         )
 
+    def to_payload(self) -> Dict[str, Any]:
+        """This specification as a wire-safe plain dict."""
+        payload: Dict[str, Any] = {
+            "kind": "viterbi",
+            "throughput_bps": self.throughput_bps,
+            "ber_curve": [list(pair) for pair in self.ber_curve.points],
+            "feature_um": self.feature_um,
+            "seed": self.seed,
+        }
+        # Only power-enabled specs carry the key: the power-off wire
+        # format stays byte-identical to pre-power clients/servers.
+        if self.power is not None:
+            payload["power"] = self.power.to_payload()
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "ViterbiSpec":
+        """The specification a :meth:`to_payload` dict describes."""
+        curve_points = payload.get("ber_curve")
+        if not curve_points:
+            raise ConfigurationError("viterbi spec needs ber_curve points")
+        curve = BERThresholdCurve(
+            points=tuple((float(es), float(thr)) for es, thr in curve_points)
+        )
+        return cls(
+            throughput_bps=float(payload["throughput_bps"]),
+            ber_curve=curve,
+            feature_um=float(payload.get("feature_um", 0.25)),
+            seed=int(payload.get("seed", DEFAULT_SEED)),
+            power=PowerConfig.from_payload(payload.get("power")),
+        )
+
+    def features(self) -> Dict[str, float]:
+        """Normalized numeric features: log throughput, the BER curve."""
+        features = {
+            "log10_throughput": math.log10(self.throughput_bps),
+            "feature_um": float(self.feature_um),
+        }
+        for index, (es_n0_db, ber) in enumerate(self.ber_curve.points):
+            features[f"es_n0_db_{index}"] = float(es_n0_db)
+            features[f"log10_ber_{index}"] = math.log10(ber)
+        return features
+
 
 class ViterbiMetacoreEvaluator:
     """Cost-evaluation engine for the Viterbi MetaCore.
@@ -503,261 +545,35 @@ class ViterbiMetacoreEvaluator:
 
 
 @dataclass
-class ViterbiMetaCore:
+class ViterbiMetaCore(MetaCore):
     """Facade: specification in, optimized decoder instance out."""
 
-    spec: ViterbiSpec
-    fixed: Dict[str, object] = field(default_factory=dict)
-    config: Optional[SearchConfig] = None
-    #: Worker processes for grid evaluation (1 = serial in-process).
-    workers: int = 1
-    #: Path of the persistent cross-run evaluation cache (None = cold).
-    cache_path: Optional[str] = None
-    #: Crash-tolerant session checkpoint (see :mod:`repro.resilience`).
-    checkpoint_path: Optional[str] = None
-    #: Resume from an existing checkpoint instead of starting cold.
-    resume: bool = False
-    #: Abort (checkpoint intact) after this many computed rounds.
-    max_rounds: Optional[int] = None
-    #: Wrap the evaluator in the retry/quarantine shim.
-    resilient: bool = False
-    #: Path of the persistent design atlas (None = no library): searches
-    #: warm-start from it and ingest their logs back into it.
-    atlas_path: Optional[str] = None
+    kind = "viterbi"
+
     #: Decode kernel for cost evaluation ("fused" or "reference");
     #: results are bit-identical, only wall-clock differs.
     kernel: str = "fused"
-    #: Search strategy override ("grid", "evolve" or "surrogate");
-    #: None defers to :attr:`config` (whose own default is "grid").
-    strategy: Optional[str] = None
 
-    def design_space(self) -> DesignSpace:
-        """The Table-2 space with this MetaCore's fixed parameters."""
-        return viterbi_design_space(self.fixed)
+    def _engine(self) -> ViterbiMetacoreEvaluator:
+        return ViterbiMetacoreEvaluator(self.spec, kernel=self.kernel)
 
-    def _effective_config(self) -> Optional[SearchConfig]:
-        """:attr:`config` with the :attr:`strategy` override applied."""
-        if self.strategy is None:
-            return self.config
-        return replace(self.config or SearchConfig(), strategy=self.strategy)
 
-    def _open_atlas(self, engine: ViterbiMetacoreEvaluator):
-        """(atlas, seeder) for this scenario, or (None, None)."""
-        if not self.atlas_path:
-            return None, None
-        # Imported lazily: repro.atlas dispatches on the spec types.
-        from repro.atlas import DesignAtlas, seeder_for
+def metacore_definition() -> MetaCoreDefinition:
+    """The Viterbi driver's MetaCore definition.
 
-        atlas = DesignAtlas(self.atlas_path)
-        seeder = seeder_for(atlas, engine, "viterbi", self.spec, self.spec.goal())
-        return atlas, seeder
-
-    def search(self) -> SearchResult:
-        """Run the multiresolution search for this specification."""
-        if self.checkpoint_path:
-            return self.search_session().result
-        engine = ViterbiMetacoreEvaluator(self.spec, kernel=self.kernel)
-        atlas, seeder = self._open_atlas(engine)
-        try:
-            return self._run_search(engine, atlas, seeder)
-        finally:
-            if atlas is not None:
-                atlas.close()
-
-    def _run_search(self, engine, atlas, seeder) -> SearchResult:
-        """One search against an already-open atlas handle (or None)."""
-        evaluator: object = engine
-        parallel: Optional[ParallelEvaluator] = None
-        store: Optional[PersistentEvalCache] = None
-        try:
-            if self.workers and self.workers > 1:
-                parallel = ParallelEvaluator(evaluator, workers=self.workers)
-                evaluator = parallel
-            if self.cache_path:
-                store = PersistentEvalCache(self.cache_path)
-            searcher = MetacoreSearch(
-                self.design_space(),
-                self.spec.goal(),
-                evaluator,
-                config=self._effective_config(),
-                normalizer=normalize_viterbi_point,
-                store=store,
-                atlas=seeder,
-            )
-            result = searcher.run()
-            if atlas is not None:
-                from repro.atlas import ingest_result
-
-                ingest_result(
-                    atlas, seeder, result.log.records, engine.max_fidelity
-                )
-            return result
-        finally:
-            if parallel is not None:
-                parallel.close()
-            if store is not None:
-                store.close()
-
-    def search_session(self):
-        """Run the search as a checkpointed, resumable session.
-
-        Returns a :class:`~repro.resilience.session.SessionResult`;
-        requires :attr:`checkpoint_path`.
-        """
-        # Imported lazily: repro.resilience depends on this module.
-        from repro.resilience.session import SearchSession
-
-        if not self.checkpoint_path:
-            raise ConfigurationError("search_session requires checkpoint_path")
-        engine = ViterbiMetacoreEvaluator(self.spec, kernel=self.kernel)
-        evaluator: object = engine
-        parallel: Optional[ParallelEvaluator] = None
-        store: Optional[PersistentEvalCache] = None
-        atlas, seeder = self._open_atlas(engine)
-        try:
-            if self.workers and self.workers > 1:
-                parallel = ParallelEvaluator(evaluator, workers=self.workers)
-                evaluator = parallel
-            if self.cache_path:
-                store = PersistentEvalCache(self.cache_path)
-            session = SearchSession(
-                self.design_space(),
-                self.spec.goal(),
-                evaluator,
-                self.checkpoint_path,
-                config=self._effective_config(),
-                normalizer=normalize_viterbi_point,
-                store=store,
-                resume=self.resume,
-                max_rounds=self.max_rounds,
-                resilient=self.resilient,
-                atlas=seeder,
-            )
-            session_result = session.run()
-            if atlas is not None:
-                from repro.atlas import ingest_result
-
-                ingest_result(
-                    atlas,
-                    seeder,
-                    session_result.result.log.records,
-                    engine.max_fidelity,
-                )
-            return session_result
-        finally:
-            if parallel is not None:
-                parallel.close()
-            if store is not None:
-                store.close()
-            if atlas is not None:
-                atlas.close()
-
-    def serve(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        unix_path: Optional[str] = None,
-        config: Optional[object] = None,
-        replicas: int = 1,
-    ):
-        """Serve this MetaCore's evaluation engine to concurrent clients.
-
-        Starts the asyncio evaluation service (socket server on a
-        background thread) with this facade's ``workers`` /
-        ``cache_path`` / ``resilient`` settings and a pre-warmed
-        session for this specification; returns a started
-        :class:`~repro.serve.server.ServeHandle` (context manager).
-        Results are bit-identical to one-shot evaluation — see
-        ``docs/serving.md``.
-
-        With ``replicas > 1`` this becomes cluster mode: N replica
-        services plus a fingerprint-sharded router front door, returned
-        as a started :class:`~repro.cluster.handle.ClusterHandle` with
-        the same ``client()``/``stop()`` surface.  Replicas share the
-        design atlas; results stay bit-identical — see
-        ``docs/cluster.md``.
-        """
-        # Imported lazily: repro.serve depends on this module.
-        from repro.serve import ServeHandle, ServiceConfig, spec_to_payload
-
-        if config is None:
-            config = ServiceConfig(
-                workers=self.workers,
-                cache_path=self.cache_path,
-                resilient=self.resilient,
-                atlas_path=self.atlas_path,
-            )
-        if replicas > 1:
-            from repro.cluster import ClusterHandle
-
-            cluster = ClusterHandle(
-                config, replicas=replicas, host=host, port=port
-            )
-            cluster.start()
-            cluster.register_spec(self.spec)
-            return cluster
-        handle = ServeHandle(
-            config, host=host, port=port, unix_path=unix_path
-        )
-        handle.start()
-        handle.service.session_for_spec(spec_to_payload(self.spec))
-        return handle
-
-    def recommend(self, constraints: Optional[Dict[str, float]] = None):
-        """Answer a constraint query from the design atlas.
-
-        ``constraints`` are extra per-query upper bounds on metrics
-        (e.g. ``{"area_mm2": 40.0}``) tightening the specification's
-        goal.  A stored frontier design covering the query is returned
-        with **zero evaluations**; a library miss falls back to a
-        (warm-started) :meth:`search`, whose log is ingested so the
-        next nearby query hits.  Requires :attr:`atlas_path`; returns a
-        :class:`~repro.atlas.recommend.Recommendation`.
-        """
-        if not self.atlas_path:
-            raise ConfigurationError("recommend requires atlas_path")
-        # Imported lazily: repro.atlas dispatches on the spec types.
-        from repro.atlas import DesignAtlas, recommend, seeder_for
-
-        engine = ViterbiMetacoreEvaluator(self.spec, kernel=self.kernel)
-        with DesignAtlas(self.atlas_path) as atlas:
-            seeder = seeder_for(
-                atlas, engine, "viterbi", self.spec, self.spec.goal()
-            )
-            recommendation = recommend(
-                atlas,
-                seeder.fingerprint,
-                self.spec.goal(),
-                constraints=constraints,
-                fallback=self._recommend_fallback(atlas, seeder),
-            )
-        return recommendation
-
-    def _recommend_fallback(self, atlas, seeder):
-        """A warm-started search over the already-open atlas handle."""
-
-        def fallback() -> SearchResult:
-            engine = ViterbiMetacoreEvaluator(self.spec, kernel=self.kernel)
-            return self._run_search(engine, atlas, seeder)
-
-        return fallback
-
-    def sweep(
-        self,
-        specs: Sequence[ViterbiSpec],
-        labels: Optional[Sequence[str]] = None,
-    ):
-        """Search a portfolio of specifications into one atlas.
-
-        Each spec runs through a copy of this facade (same fixed
-        parameters, config, workers, cache, atlas); returns a
-        :class:`~repro.atlas.sweep.SweepOutcome`.
-        """
-        from repro.atlas import run_sweep
-
-        metacores = [dataclasses.replace(self, spec=spec) for spec in specs]
-        return run_sweep(metacores, labels=labels)
-
-    def build(self, point: Point) -> ViterbiDecoder:
-        """Construct the concrete decoder for a design point."""
-        return build_decoder(point, kernel=self.kernel)
+    Built on every lookup, so each field resolves this module's names at
+    call time (``e2ebench/layers.py`` swaps some of them while tracing).
+    """
+    return MetaCoreDefinition(
+        kind="viterbi",
+        spec_type=ViterbiSpec,
+        design_space=viterbi_design_space,
+        evaluator=ViterbiMetacoreEvaluator,
+        spec_to_payload=ViterbiSpec.to_payload,
+        spec_from_payload=ViterbiSpec.from_payload,
+        spec_features=ViterbiSpec.features,
+        build=lambda engine, point: build_decoder(point, kernel=engine.kernel),
+        normalizer=normalize_viterbi_point,
+        # The paper fixes G and N "to speedup the search process".
+        default_fixed={"G": "standard", "N": 1},
+    )

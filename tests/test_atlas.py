@@ -114,6 +114,28 @@ class TestStore:
             (record,) = atlas.replay("fp")
             assert record.metrics["area_mm2"] == 10.0
 
+    def test_append_after_torn_tail_is_not_lost(self, tmp_path):
+        path = tmp_path / "atlas.jsonl"
+        with DesignAtlas(path) as atlas:
+            atlas.ingest(
+                "fp", "custom", None, toy_goal(),
+                [toy_record(1, 10.0, 0.0)], max_fidelity=2,
+            )
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"schema":1,"type":"rec')  # crashed writer
+        with DesignAtlas(path) as atlas:
+            # Ending the torn tail makes it a corrupt line, reported once.
+            with pytest.warns(RuntimeWarning, match="corrupt line"):
+                atlas.ingest(
+                    "fp2", "custom", None, toy_goal(),
+                    [toy_record(2, 8.0, 0.0)], max_fidelity=2,
+                )
+        with pytest.warns(RuntimeWarning, match="corrupt line"):
+            reopened = DesignAtlas(path)
+        assert [dict(r.point)["x"] for r in reopened.replay("fp2")] == [2]
+        assert len(reopened.replay("fp")) == 1
+        assert reopened.n_skipped == 1
+
     def test_corrupt_lines_skipped_with_one_warning(self, tmp_path):
         path = tmp_path / "atlas.jsonl"
         with DesignAtlas(path) as atlas:

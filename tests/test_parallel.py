@@ -167,6 +167,21 @@ class TestPersistentCache:
         reloaded = PersistentEvalCache(path)
         assert reloaded.n_loaded == 1
 
+    def test_put_after_torn_tail_is_not_lost(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        with PersistentEvalCache(path) as store:
+            store.put("fp", frozen_point({"a": 1}), 0, {"m": 1.0})
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"schema":1,"fp":"fp","poi')  # crashed writer
+        with pytest.warns(RuntimeWarning, match="corrupt line"):
+            store = PersistentEvalCache(path)
+        with store:
+            assert store.put("fp", frozen_point({"a": 2}), 0, {"m": 2.0})
+        with pytest.warns(RuntimeWarning, match="corrupt line"):
+            reloaded = PersistentEvalCache(path)
+        assert reloaded.get("fp", frozen_point({"a": 2}), 0) == (0, {"m": 2.0})
+        assert reloaded.n_loaded == 2 and reloaded.n_skipped == 1
+
     def test_fingerprint_fallback_for_plain_evaluators(self):
         evaluator = FunctionEvaluator(lambda p, f: {"m": 0.0}, max_fidelity=3)
         fingerprint = evaluator_fingerprint(evaluator)
